@@ -41,5 +41,5 @@ pub use bf_neural::{BfNeural, BfNeuralConfig, HistoryMode, IdealBfNeural};
 pub use bf_tage::{bf_isl_tage, BfIslTage, BfTage};
 pub use bst::{BranchStatus, Bst, Classifier, ProbabilisticBst};
 pub use profile::StaticProfile;
-pub use recency::{RecencyStack, RsEntry, RsOp};
+pub use recency::{RecencyStack, RsEntry};
 pub use registry::register;

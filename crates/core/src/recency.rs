@@ -31,28 +31,6 @@ impl RsEntry {
     }
 }
 
-/// What a [`RecencyStack::record`] call did to the stack, for callers
-/// that mirror the stack contents in a derived cache (the segmented
-/// BF-GHR keeps pre-mixed hash words in stack order and replays these
-/// ops instead of rebuilding).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RsOp {
-    /// The key was already tracked at depth `from`: it moved to the top,
-    /// entries above it slid down one.
-    Refreshed {
-        /// Depth the entry was found at (0 = top).
-        from: usize,
-        /// Whether the refresh changed the stored outcome.
-        outcome_changed: bool,
-    },
-    /// The key was new: pushed on top, with the bottom entry evicted if
-    /// the stack was full.
-    Inserted {
-        /// Whether a bottom entry was evicted to make room.
-        evicted: bool,
-    },
-}
-
 /// A fixed-capacity recency stack, newest entry first.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecencyStack {
@@ -96,30 +74,20 @@ impl RecencyStack {
     /// and birth (the Figure 3 clock-gated shift: entries between the top
     /// and the hit slide down by one, older entries stay). Otherwise a
     /// new entry is pushed and the oldest is evicted if over capacity.
-    ///
-    /// Returns the [`RsOp`] describing what happened, so a caller can
-    /// mirror the mutation in a derived per-entry cache.
-    pub fn record(&mut self, key: u64, outcome: bool, now: u64) -> RsOp {
+    pub fn record(&mut self, key: u64, outcome: bool, now: u64) {
         let entry = RsEntry {
             key,
             outcome,
             birth: now,
         };
         if let Some(hit) = self.entries.iter().position(|e| e.key == key) {
-            let outcome_changed = self.entries[hit].outcome != outcome;
             self.entries[..=hit].rotate_right(1);
             self.entries[0] = entry;
-            RsOp::Refreshed {
-                from: hit,
-                outcome_changed,
-            }
         } else {
-            let evicted = self.entries.len() == self.capacity;
-            if evicted {
+            if self.entries.len() == self.capacity {
                 self.entries.pop();
             }
             self.entries.insert(0, entry);
-            RsOp::Inserted { evicted }
         }
     }
 
@@ -131,33 +99,6 @@ impl RecencyStack {
     /// Position of `key` in the stack (0 = newest), if present.
     pub fn depth_of(&self, key: u64) -> Option<usize> {
         self.entries.iter().position(|e| e.key == key)
-    }
-
-    /// Removes and returns the entry for `key`, if present (used by the
-    /// segmented BF-GHR when an instance falls out of a segment).
-    pub fn remove(&mut self, key: u64) -> Option<RsEntry> {
-        let idx = self.depth_of(key)?;
-        Some(self.entries.remove(idx))
-    }
-
-    /// Removes every entry whose tracked occurrence is at distance
-    /// `>= max_pos` from `now`, returning how many were dropped (used
-    /// for segment expiry). Births are strictly decreasing from top to
-    /// bottom (every record lands at the top with the newest clock), so
-    /// expired entries always form a suffix — the segmented BF-GHR calls
-    /// this once per segment per committed branch, and the common case
-    /// is a single tail check.
-    pub fn expire(&mut self, now: u64, max_pos: u64) -> usize {
-        let mut dropped = 0;
-        while self
-            .entries
-            .last()
-            .is_some_and(|e| e.position(now) >= max_pos)
-        {
-            self.entries.pop();
-            dropped += 1;
-        }
-        dropped
     }
 
     /// Storage estimate in bits: each entry holds a 14-bit hashed
@@ -261,32 +202,6 @@ mod tests {
         rs.record(0xB, true, 11);
         let a = rs.iter().find(|e| e.key == 0xA).unwrap();
         assert_eq!(a.position(25), 15);
-    }
-
-    #[test]
-    fn remove_returns_entry() {
-        let mut rs = RecencyStack::new(4);
-        rs.record(0xA, true, 1);
-        rs.record(0xB, false, 2);
-        let removed = rs.remove(0xA).unwrap();
-        assert_eq!(removed.key, 0xA);
-        assert_eq!(rs.len(), 1);
-        assert!(rs.remove(0xA).is_none());
-    }
-
-    #[test]
-    fn expire_removes_old_instances() {
-        let mut rs = RecencyStack::new(8);
-        rs.record(0xA, true, 0);
-        rs.record(0xB, true, 5);
-        rs.record(0xC, true, 9);
-        let expired = rs.expire(10, 5);
-        assert_eq!(expired, 2, "0xA and 0xB are at distance >= 5");
-        assert_eq!(rs.len(), 1);
-        assert_eq!(rs.depth_of(0xA), None);
-        assert_eq!(rs.depth_of(0xB), None);
-        assert_eq!(rs.depth_of(0xC), Some(0));
-        assert_eq!(rs.expire(10, 5), 0, "second pass removes nothing");
     }
 
     #[test]

@@ -2,14 +2,17 @@
 //! snapshot/restore round-trip property for every registry predictor,
 //! kill-resume byte-identity of the `bfbp-sweep/2` and `bfbp-metrics/1`
 //! documents, torn/stale checkpoint quarantine, the `bfbp-journal/2`
-//! checkpoint-reference interplay, and cancellation-aware retry backoff.
+//! checkpoint-reference interplay, cancellation-aware retry backoff,
+//! and the consistency checks that reject corrupt BF-GHR snapshots.
 
 use std::fs;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use bfbp::sim::ckpt::{SimCheckpoint, StateReader};
+use bfbp::core::bf_ghr::{BfGhr, SEGMENT_BOUNDARIES};
+use bfbp::predictors::history::mix64;
+use bfbp::sim::ckpt::{CodecError, Restorable, SimCheckpoint, StateReader, StateWriter};
 use bfbp::sim::engine::{sweep_inputs, JobStatus, SweepOptions, TraceInput};
 use bfbp::sim::fault::FaultPlan;
 use bfbp::sim::journal::Journal;
@@ -17,6 +20,7 @@ use bfbp::sim::registry::PredictorSpec;
 use bfbp::sim::simulate::Simulation;
 use bfbp::sim::RetryPolicy;
 use bfbp::trace::record::Trace;
+use bfbp::trace::rng::Xoshiro256;
 use bfbp::trace::synth::suite;
 
 /// A unique scratch path under the target temp dir.
@@ -259,6 +263,214 @@ fn corrupt_checkpoint_is_quarantined_and_the_job_reruns_from_zero() {
         .any(|e| e.file_name().to_string_lossy().ends_with(".quarantined"));
     assert!(quarantined, "the torn file must be kept for post-mortem");
     assert!(!ckpt_file.exists(), "the torn file must not be retried");
+}
+
+/// A `BfGhr` snapshot decoded field by field, so a test can break one
+/// consistency rule and re-encode the rest unchanged.
+#[derive(Clone)]
+struct GhrSnapshot {
+    ring: Vec<u32>,
+    now: u64,
+    counters: [u64; 2],
+    segments: Vec<SegmentSnapshot>,
+}
+
+#[derive(Clone)]
+struct SegmentSnapshot {
+    /// `(key, outcome, birth)`, newest first.
+    entries: Vec<(u64, bool, u64)>,
+    words: Vec<u64>,
+    pxor: Vec<u64>,
+}
+
+impl GhrSnapshot {
+    fn of(ghr: &BfGhr) -> Self {
+        let mut w = StateWriter::new();
+        ghr.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = StateReader::new(&bytes);
+        let ring = r.u32_vec().unwrap();
+        let now = r.u64().unwrap();
+        let counters = [r.u64().unwrap(), r.u64().unwrap()];
+        let segments = (0..r.usize().unwrap())
+            .map(|_| {
+                let entries = (0..r.usize().unwrap())
+                    .map(|_| (r.u64().unwrap(), r.bool().unwrap(), r.u64().unwrap()))
+                    .collect();
+                SegmentSnapshot {
+                    entries,
+                    words: r.u64_vec().unwrap(),
+                    pxor: r.u64_vec().unwrap(),
+                }
+            })
+            .collect();
+        r.finish().unwrap();
+        Self {
+            ring,
+            now,
+            counters,
+            segments,
+        }
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        let mut w = StateWriter::new();
+        w.u32_slice(&self.ring);
+        w.u64(self.now);
+        w.u64(self.counters[0]);
+        w.u64(self.counters[1]);
+        w.usize(self.segments.len());
+        for seg in &self.segments {
+            w.usize(seg.entries.len());
+            for &(key, outcome, birth) in &seg.entries {
+                w.u64(key);
+                w.bool(outcome);
+                w.u64(birth);
+            }
+            w.u64_slice(&seg.words);
+            w.u64_slice(&seg.pxor);
+        }
+        w.into_bytes()
+    }
+
+    /// Recomputes segment `s`'s words from its entries.
+    fn rehash_words(&mut self, s: usize) {
+        let seg = &mut self.segments[s];
+        seg.words = seg
+            .entries
+            .iter()
+            .map(|&(key, outcome, _)| {
+                mix64((key << 20) ^ (u64::from(outcome) << 17) ^ ((s as u64 + 1) << 8))
+            })
+            .collect();
+        self.rehash_pxor(s);
+    }
+
+    /// Recomputes segment `s`'s prefix XORs from its words.
+    fn rehash_pxor(&mut self, s: usize) {
+        let seg = &mut self.segments[s];
+        seg.pxor = std::iter::once(0)
+            .chain(seg.words.iter().scan(0, |acc, w| {
+                *acc ^= w;
+                Some(*acc)
+            }))
+            .collect();
+    }
+
+    /// The first segment holding at least two entries.
+    fn busy_segment(&self) -> usize {
+        self.segments
+            .iter()
+            .position(|seg| seg.entries.len() >= 2)
+            .expect("a segment with two entries")
+    }
+
+    /// Restores the snapshot into a fresh paper-geometry register.
+    fn load(&self) -> Result<(), CodecError> {
+        let bytes = self.encode();
+        let mut r = StateReader::new(&bytes);
+        BfGhr::new().load_state(&mut r)?;
+        r.finish()
+    }
+}
+
+/// A register `commits` pseudo-random branches deep.
+fn busy_ghr(commits: usize) -> GhrSnapshot {
+    let mut rng = Xoshiro256::seed_from_u64(17);
+    let mut ghr = BfGhr::new();
+    for _ in 0..commits {
+        ghr.commit(rng.below(40) as u16, rng.chance(0.5), rng.chance(0.5));
+    }
+    let snap = GhrSnapshot::of(&ghr);
+    snap.load().expect("an intact snapshot restores");
+    snap
+}
+
+fn assert_malformed(snap: &GhrSnapshot, rule: &str) {
+    match snap.load() {
+        Err(CodecError::Malformed(what)) => {
+            assert!(
+                what.contains(rule),
+                "expected a {rule:?} rejection, got {what:?}"
+            )
+        }
+        other => panic!("expected a {rule:?} rejection, got {other:?}"),
+    }
+}
+
+#[test]
+fn bf_ghr_snapshot_with_a_key_wider_than_14_bits_is_rejected() {
+    let mut snap = busy_ghr(5_000);
+    let s = snap.busy_segment();
+    snap.segments[s].entries[0].0 |= 1 << 14;
+    snap.rehash_words(s);
+    assert_malformed(&snap, "wider than 14 bits");
+}
+
+#[test]
+fn bf_ghr_snapshot_with_a_duplicate_key_is_rejected() {
+    let mut snap = busy_ghr(5_000);
+    let s = snap.busy_segment();
+    snap.segments[s].entries[1].0 = snap.segments[s].entries[0].0;
+    snap.rehash_words(s);
+    assert_malformed(&snap, "duplicate key");
+}
+
+#[test]
+fn bf_ghr_snapshot_with_a_bad_birth_is_rejected() {
+    let good = busy_ghr(5_000);
+    let s = good.busy_segment();
+    // Out of order: the two newest entries swap births.
+    let mut snap = good.clone();
+    let entries = &mut snap.segments[s].entries;
+    (entries[0].2, entries[1].2) = (entries[1].2, entries[0].2);
+    assert_malformed(&snap, "birth");
+    // In the future.
+    let mut snap = good.clone();
+    snap.segments[s].entries[0].2 = snap.now + 1;
+    assert_malformed(&snap, "birth");
+    // Old enough to have left the segment.
+    let mut snap = good.clone();
+    let span = (SEGMENT_BOUNDARIES[s + 1] - SEGMENT_BOUNDARIES[s]) as u64;
+    let bottom = snap.segments[s].entries.len() - 1;
+    snap.segments[s].entries[bottom].2 = snap.now - span;
+    assert_malformed(&snap, "birth");
+}
+
+#[test]
+fn bf_ghr_snapshot_with_a_word_that_does_not_match_its_entry_is_rejected() {
+    let mut snap = busy_ghr(5_000);
+    let s = snap.busy_segment();
+    snap.segments[s].words[0] ^= 1;
+    snap.rehash_pxor(s);
+    assert_malformed(&snap, "word does not match");
+}
+
+#[test]
+fn bf_ghr_snapshot_with_wrong_prefix_xors_is_rejected() {
+    let mut snap = busy_ghr(5_000);
+    let s = snap.busy_segment();
+    snap.segments[s].pxor[1] ^= 1;
+    assert_malformed(&snap, "prefix XORs");
+}
+
+#[test]
+fn bf_ghr_snapshot_with_an_impossible_clock_is_rejected() {
+    let mut snap = busy_ghr(5_000);
+    snap.now = u64::MAX;
+    assert_malformed(&snap, "clock out of range");
+}
+
+#[test]
+fn bf_ghr_snapshot_with_a_bad_ring_slot_is_rejected() {
+    // A slot carrying bits outside key, direction and bias status.
+    let mut snap = busy_ghr(5_000);
+    snap.ring[7] |= 1 << 20;
+    assert_malformed(&snap, "wider than its fields");
+    // A slot the clock has not reached yet.
+    let mut snap = busy_ghr(100);
+    snap.ring[200] = 1 << 17;
+    assert_malformed(&snap, "ahead of the clock");
 }
 
 /// A checkpoint recorded for one sweep matrix must never restore into
