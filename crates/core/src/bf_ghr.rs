@@ -864,7 +864,7 @@ mod tests {
     fn lane_search_finds_every_key() {
         let mut seg = BfGhr::new().segments[0];
         for (k, key) in [0u16, KEY_MASK, 0x1234, 0x2000].into_iter().enumerate() {
-            seg.lanes |= u128::from(key | LANE_LIVE | LANE_TAKEN * (k as u16 & 1)) << (16 * k);
+            seg.lanes |= u128::from(key | LANE_LIVE | (LANE_TAKEN * (k as u16 & 1))) << (16 * k);
         }
         // Each live key marks bit 15 of exactly its own lane, whatever
         // its outcome bit.

@@ -28,7 +28,7 @@
 use std::collections::VecDeque;
 
 use bfbp_predictors::history::{mix64, BucketedFolds, GlobalHistory};
-use bfbp_predictors::loop_pred::LoopPredictor;
+use bfbp_predictors::loop_pred::{LoopLookup, LoopPredictor};
 use bfbp_sim::ckpt::{CodecError, Restorable, StateReader, StateWriter};
 use bfbp_sim::obs::{saturation_fraction, Metrics, PredictorIntrospect};
 use bfbp_sim::predictor::{ConditionalPredictor, Provenance};
@@ -40,6 +40,13 @@ use crate::recency::{RecencyStack, RsEntry};
 const WB_CLAMP: i32 = 127; // 8-bit bias weights
 const WM_CLAMP: i32 = 63; // 7-bit 2-D weights
 const WRS_CLAMP: i32 = 15; // 5-bit 1-D weights
+
+// Multipliers of the weight-index hashes (§IV-B2): current PC, tracked
+// address, recent age, and positional history.
+const PC_MUL: u64 = 0x9E37_79B9_7F4A_7C15;
+const ADDR_MUL: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const AGE_MUL: u64 = 0x1656_67B1_9E37_79F9;
+const POS_MUL: u64 = 0xD6E8_FEB8_6659_FD93;
 
 /// How the deep history component is managed (the Figure 9 ablation
 /// axis).
@@ -180,6 +187,14 @@ impl DeepHistory {
             DeepHistory::Stack(rs) => Box::new(rs.iter()),
         }
     }
+
+    /// Checks a restored recency stack against the restored clock.
+    fn check_births_before(&self, now: u64) -> Result<(), CodecError> {
+        match self {
+            DeepHistory::Shift(..) => Ok(()),
+            DeepHistory::Stack(rs) => rs.check_births_before(now),
+        }
+    }
 }
 
 impl Restorable for DeepHistory {
@@ -237,6 +252,12 @@ struct Scratch {
     final_pred: bool,
     /// Whether a confident loop prediction overrode `base_pred`.
     loop_used: bool,
+    /// The BST status `predict` read, with its branch address. `update`
+    /// takes it in place of a second BST read when the address matches.
+    status: Option<(u64, BranchStatus)>,
+    /// The loop-table lookup `predict` took, handed to the `update` of
+    /// the same branch in place of a second way search.
+    loop_lookup: Option<LoopLookup>,
 }
 
 /// The practical BF-Neural predictor (Algorithms 2 and 3).
@@ -332,22 +353,6 @@ impl BfNeural {
         mix64(pc >> 2) & 0x3FFF
     }
 
-    fn unf_addr(&self, age: usize) -> u64 {
-        let h = self.unf_addrs.len();
-        self.unf_addrs[(self.addr_head + h - 1 - age) % h]
-    }
-
-    fn wm_index(&self, pc: u64, age: usize) -> usize {
-        let mut key = (pc >> 2).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ (self.unf_addr(age) >> 2).wrapping_mul(0xC2B2_AE3D_27D4_EB4F)
-            ^ (age as u64).wrapping_mul(0x1656_67B1_9E37_79F9);
-        if self.config.folded_hist {
-            key ^= self.folds.fold_for(age + 1) << 20;
-        }
-        let row = (mix64(key) & ((1 << self.config.log_wm_rows) - 1)) as usize;
-        row * self.config.recent_unfiltered + age
-    }
-
     /// Quantizes a positional distance with geometrically coarsening
     /// granularity: exact below 64, then 8-branch buckets to 256,
     /// 32-branch buckets to 1024, 128-branch buckets beyond. Close
@@ -356,34 +361,22 @@ impl BfNeural {
     /// jitter of data-dependent loops — the same engineering trade-off
     /// geometric history lengths make.
     fn quantize_pos(pos: u64) -> u64 {
-        match pos {
-            0..=63 => pos,
-            64..=255 => pos & !7,
-            256..=1023 => pos & !31,
-            _ => pos & !127,
-        }
-    }
-
-    fn wrs_index(&self, pc: u64, entry: &RsEntry) -> usize {
-        let mut key = (pc >> 2).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            ^ entry.key.wrapping_mul(0xC2B2_AE3D_27D4_EB4F);
-        if self.config.positional {
-            key ^= Self::quantize_pos(entry.position(self.now)).wrapping_mul(0xD6E8_FEB8_6659_FD93);
-        }
-        if self.config.folded_hist {
-            // Fold the recent path leading up to the current branch
-            // (§IV-A), capped at 16 bits: enough to separate paths while
-            // keeping the index stable against unrelated distant noise.
-            let window = (entry.position(self.now) as usize).min(16);
-            key ^= self.folds.fold_for(window) << 20;
-        }
-        (mix64(key) & ((1 << self.config.log_wrs) - 1)) as usize
+        // 0, 3, 5 or 7 low bits dropped, without a data-dependent branch.
+        let drop =
+            3 * u32::from(pos >= 64) + 2 * u32::from(pos >= 256) + 2 * u32::from(pos >= 1024);
+        pos & (u64::MAX << drop)
     }
 
     /// Computes the perceptron sum for `pc`, filling the caller-provided
     /// index buffers (cleared first). Writing into reused buffers — and
-    /// matching on the deep-history variant instead of boxing an
-    /// iterator — keeps the per-prediction path allocation-free.
+    /// walking the deep history's slices instead of boxing an iterator —
+    /// keeps the per-prediction path allocation-free.
+    ///
+    /// Every index is a `mix64` hash of (PC, address, age or positional
+    /// history, folded history). The PC term and the four bucket folds
+    /// are the same for every term, so they are computed once here; the
+    /// recent outcomes are read as one packed word and the address ring
+    /// is walked back from its head.
     fn compute(
         &self,
         pc: u64,
@@ -393,34 +386,72 @@ impl BfNeural {
         wm_indices.clear();
         wrs_terms.clear();
         let mut sum = i32::from(self.wb[((pc >> 2) & 0x3FF) as usize]);
+        let pc_term = (pc >> 2).wrapping_mul(PC_MUL);
+        let folds = if self.config.folded_hist {
+            self.folds.values().map(|f| f << 20)
+        } else {
+            [0; 4]
+        };
+
+        // Recent component: age `age` folds the path up to distance
+        // `age + 1`.
         let ht = self.config.recent_unfiltered;
+        let row_mask = (1u64 << self.config.log_wm_rows) - 1;
+        let recent = self.unf_hist.low_bits(ht.min(64));
+        let mut slot = self.addr_head;
         for age in 0..ht {
-            let idx = self.wm_index(pc, age);
+            slot = slot.checked_sub(1).unwrap_or(ht - 1);
+            let key = pc_term
+                ^ (self.unf_addrs[slot] >> 2).wrapping_mul(ADDR_MUL)
+                ^ (age as u64).wrapping_mul(AGE_MUL)
+                ^ folds[BucketedFolds::bucket_for(age + 1)];
+            let idx = (mix64(key) & row_mask) as usize * ht + age;
             wm_indices.push(idx);
             let w = i32::from(self.wm[idx]);
-            sum += if self.unf_hist.bit(age) { w } else { -w };
+            sum += if self.recent_bit(recent, age) { w } else { -w };
         }
-        let add = |entry: &RsEntry, sum: &mut i32, terms: &mut Vec<(usize, bool)>| {
-            let idx = self.wrs_index(pc, entry);
-            let w = i32::from(self.wrs[idx]);
-            // Wrs weights are narrow (5-bit); scale them up so a strong
-            // deep correlation can outvote the recent component.
-            *sum += if entry.outcome { w } else { -w } * 3;
-            terms.push((idx, entry.outcome));
+
+        // Deep component: the fold covers the path from the tracked
+        // occurrence, capped at 16 bits (§IV-A) — enough to separate
+        // paths while keeping the index stable against unrelated distant
+        // noise. Below a distance of 16 that is the 8-bit bucket.
+        let near = folds[BucketedFolds::bucket_for(15)];
+        let far = folds[BucketedFolds::bucket_for(16)];
+        let pos_mul = if self.config.positional { POS_MUL } else { 0 };
+        let wrs_mask = (1u64 << self.config.log_wrs) - 1;
+        // Both containers hold at most `deep_depth` entries, newest first:
+        // the stack as one slice, the shift register as a ring's two.
+        let (newer, older) = match &self.deep {
+            DeepHistory::Shift(q, _) => q.as_slices(),
+            DeepHistory::Stack(rs) => (rs.iter().as_slice(), &[][..]),
         };
-        match &self.deep {
-            DeepHistory::Shift(q, _) => {
-                for entry in q.iter().take(self.config.deep_depth) {
-                    add(entry, &mut sum, wrs_terms);
-                }
-            }
-            DeepHistory::Stack(rs) => {
-                for entry in rs.iter().take(self.config.deep_depth) {
-                    add(entry, &mut sum, wrs_terms);
-                }
+        for part in [newer, older] {
+            for entry in part {
+                let pos = entry.position(self.now);
+                let key = pc_term
+                    ^ entry.key.wrapping_mul(ADDR_MUL)
+                    ^ Self::quantize_pos(pos).wrapping_mul(pos_mul)
+                    ^ if pos >= 16 { far } else { near };
+                let idx = (mix64(key) & wrs_mask) as usize;
+                let w = i32::from(self.wrs[idx]);
+                // Wrs weights are narrow (5-bit); scale them up so a
+                // strong deep correlation can outvote the recent
+                // component.
+                sum += if entry.outcome { w } else { -w } * 3;
+                wrs_terms.push((idx, entry.outcome));
             }
         }
         sum
+    }
+
+    /// Recent outcome at `age`, from the packed newest-64 word where it
+    /// covers the age.
+    fn recent_bit(&self, recent: u64, age: usize) -> bool {
+        if age < 64 {
+            (recent >> age) & 1 == 1
+        } else {
+            self.unf_hist.bit(age)
+        }
     }
 
     fn train_weights(
@@ -433,8 +464,9 @@ impl BfNeural {
         let dir = if taken { 1 } else { -1 };
         let bidx = ((pc >> 2) & 0x3FF) as usize;
         self.wb[bidx] = (i32::from(self.wb[bidx]) + dir).clamp(-WB_CLAMP, WB_CLAMP) as i8;
+        let recent = self.unf_hist.low_bits(wm_indices.len().min(64));
         for (age, &idx) in wm_indices.iter().enumerate() {
-            let x = if self.unf_hist.bit(age) { 1 } else { -1 };
+            let x = if self.recent_bit(recent, age) { 1 } else { -1 };
             self.wm[idx] = (i32::from(self.wm[idx]) + dir * x).clamp(-WM_CLAMP, WM_CLAMP) as i8;
         }
         for &(idx, outcome) in wrs_terms {
@@ -487,7 +519,14 @@ impl ConditionalPredictor for BfNeural {
         };
         // The loop predictor overrides when confident (§IV-B2: "The loop
         // count (LC) predictor is used to predict these loops").
-        let (final_pred, loop_used) = match self.loop_pred.as_ref().and_then(|lp| lp.predict(pc)) {
+        let (loop_lookup, loop_vote) = match &self.loop_pred {
+            Some(lp) => {
+                let lookup = lp.lookup(pc);
+                (Some(lookup), lp.predict_at(&lookup))
+            }
+            None => (None, None),
+        };
+        let (final_pred, loop_used) = match loop_vote {
             Some(lp) if lp.confident => (lp.taken, true),
             _ => (pred, false),
         };
@@ -499,6 +538,8 @@ impl ConditionalPredictor for BfNeural {
             base_pred: pred,
             final_pred,
             loop_used,
+            status: Some((pc, status)),
+            loop_lookup,
         };
         final_pred
     }
@@ -509,7 +550,14 @@ impl ConditionalPredictor for BfNeural {
         let final_pred = self.scratch.final_pred;
         let mut wm_indices = std::mem::take(&mut self.scratch.wm_indices);
         let mut wrs_terms = std::mem::take(&mut self.scratch.wrs_terms);
-        let status_before = self.classifier.status(pc);
+        // `predict` read this branch's BST entry and loop ways; nothing
+        // has changed them since. Another branch (an `update` without
+        // its `predict`) reads them afresh.
+        let status_before = match self.scratch.status.take() {
+            Some((at, status)) if at == pc => status,
+            _ => self.classifier.status(pc),
+        };
+        let loop_lookup = self.scratch.loop_lookup.take().filter(|l| l.pc() == pc);
         let status_after = self.classifier.commit(pc, taken);
         let final_mispredict = final_pred != taken;
 
@@ -540,14 +588,14 @@ impl ConditionalPredictor for BfNeural {
 
         // Deep-history insertion per mode (Algorithm 3: "if BST ==
         // Non_biased then Update RS").
-        let key = Self::key_of(pc);
-        match self.config.history_mode {
-            HistoryMode::Unfiltered => self.deep.insert(key, taken, self.now),
+        let enters = match self.config.history_mode {
+            HistoryMode::Unfiltered => true,
             HistoryMode::BiasFiltered | HistoryMode::RecencyStack => {
-                if status_after == BranchStatus::NonBiased {
-                    self.deep.insert(key, taken, self.now);
-                }
+                status_after == BranchStatus::NonBiased
             }
+        };
+        if enters {
+            self.deep.insert(Self::key_of(pc), taken, self.now);
         }
 
         // Unfiltered recent component (Algorithm 3: "Update
@@ -555,11 +603,15 @@ impl ConditionalPredictor for BfNeural {
         self.unf_hist.push(taken);
         self.folds.push(taken);
         self.unf_addrs[self.addr_head] = pc;
-        self.addr_head = (self.addr_head + 1) % self.unf_addrs.len();
+        self.addr_head += 1;
+        if self.addr_head == self.unf_addrs.len() {
+            self.addr_head = 0;
+        }
         self.now += 1;
 
         if let Some(lp) = self.loop_pred.as_mut() {
-            lp.update(pc, taken, final_mispredict);
+            let lookup = loop_lookup.unwrap_or_else(|| lp.lookup(pc));
+            lp.update_at(&lookup, taken, final_mispredict);
         }
     }
 
@@ -672,11 +724,15 @@ impl Restorable for BfNeural {
         self.folds.load_state(r)?;
         self.deep.load_state(r)?;
         self.now = r.u64()?;
+        self.deep.check_births_before(self.now)?;
         self.theta = r.i32()?;
         self.threshold_ctr = r.i32()?;
         if let Some(lp) = self.loop_pred.as_mut() {
             lp.load_state(r)?;
         }
+        // What `predict` carried for `update` described the old tables.
+        self.scratch.status = None;
+        self.scratch.loop_lookup = None;
         Ok(())
     }
 }
@@ -786,7 +842,10 @@ impl ConditionalPredictor for IdealBfNeural {
             }
             BranchStatus::NonBiased => {
                 let mut sum = i32::from(self.wb[((pc >> 2) & 0x3FF) as usize]);
-                let mut indices = Vec::with_capacity(self.depth);
+                // Refill the scratch buffer in place: its capacity is
+                // recycled across the whole run.
+                let mut indices = std::mem::take(&mut self.scratch_indices);
+                indices.clear();
                 for (col, entry) in self.stack.iter().take(self.depth).enumerate() {
                     let idx = self.row_index(pc, entry) * self.depth + col;
                     indices.push(idx);
@@ -810,14 +869,9 @@ impl ConditionalPredictor for IdealBfNeural {
                 let dir = if taken { 1 } else { -1 };
                 let bidx = ((pc >> 2) & 0x3FF) as usize;
                 self.wb[bidx] = (i32::from(self.wb[bidx]) + dir).clamp(-WB_CLAMP, WB_CLAMP) as i8;
-                let outcomes: Vec<bool> = self
-                    .stack
-                    .iter()
-                    .take(self.depth)
-                    .map(|e| e.outcome)
-                    .collect();
-                for (idx, outcome) in self.scratch_indices.clone().into_iter().zip(outcomes) {
-                    let x = if outcome { 1 } else { -1 };
+                // The stack is unchanged since `predict` indexed it.
+                for (&idx, entry) in self.scratch_indices.iter().zip(self.stack.iter()) {
+                    let x = if entry.outcome { 1 } else { -1 };
                     self.wm[idx] =
                         (i32::from(self.wm[idx]) + dir * x).clamp(-WM_CLAMP, WM_CLAMP) as i8;
                 }
@@ -874,6 +928,7 @@ impl Restorable for IdealBfNeural {
         r.i8_into(&mut self.wm)?;
         self.stack.load_state(r)?;
         self.now = r.u64()?;
+        self.stack.check_births_before(self.now)?;
         // A restore drops any in-flight prediction scratch.
         self.scratch_used = false;
         Ok(())

@@ -11,6 +11,10 @@
 
 use bfbp_sim::ckpt::{CodecError, Restorable, StateReader, StateWriter};
 
+/// Width of the hashed branch addresses a stack holds (Table I budgets
+/// 14 bits of each 16-bit entry to the address).
+pub const KEY_BITS: u32 = 14;
+
 /// One recency-stack entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RsEntry {
@@ -101,6 +105,20 @@ impl RecencyStack {
         self.entries.iter().position(|e| e.key == key)
     }
 
+    /// Checks that every entry was born before the commit clock `now`.
+    ///
+    /// Owners restore their clock after the stack, so they call this
+    /// once both are loaded; births are already known to be strictly
+    /// decreasing, so only the newest entry needs the check.
+    pub fn check_births_before(&self, now: u64) -> Result<(), CodecError> {
+        match self.entries.first() {
+            Some(top) if top.birth >= now => Err(CodecError::Malformed(
+                "recency stack birth at or after the clock",
+            )),
+            _ => Ok(()),
+        }
+    }
+
     /// Storage estimate in bits: each entry holds a 14-bit hashed
     /// address, 1 outcome bit and an 11-bit position counter — the
     /// paper's Table I budgets RS entries at 16 bits.
@@ -119,19 +137,39 @@ impl Restorable for RecencyStack {
         }
     }
 
+    /// Restores a stack written by `save_state`. Rejects a stack that
+    /// `record` could not have built: over capacity, a key wider than
+    /// [`KEY_BITS`], a key held twice, or births that do not strictly
+    /// decrease from the top. The owner checks the births against its
+    /// clock with [`RecencyStack::check_births_before`].
     fn load_state(&mut self, r: &mut StateReader<'_>) -> Result<(), CodecError> {
         let count = r.usize()?;
         if count > self.capacity {
             return Err(CodecError::Malformed("recency stack over capacity"));
         }
-        self.entries.clear();
+        let mut entries: Vec<RsEntry> = Vec::with_capacity(self.capacity);
         for _ in 0..count {
-            self.entries.push(RsEntry {
+            let entry = RsEntry {
                 key: r.u64()?,
                 outcome: r.bool()?,
                 birth: r.u64()?,
-            });
+            };
+            if entry.key >> KEY_BITS != 0 {
+                return Err(CodecError::Malformed(
+                    "recency stack key wider than 14 bits",
+                ));
+            }
+            if entries.iter().any(|e| e.key == entry.key) {
+                return Err(CodecError::Malformed("recency stack duplicate key"));
+            }
+            if entries.last().is_some_and(|e| e.birth <= entry.birth) {
+                return Err(CodecError::Malformed(
+                    "recency stack births not strictly decreasing",
+                ));
+            }
+            entries.push(entry);
         }
+        self.entries = entries;
         Ok(())
     }
 }

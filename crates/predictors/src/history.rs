@@ -8,8 +8,9 @@ use bfbp_sim::ckpt::{CodecError, Restorable, StateReader, StateWriter};
 
 /// A bounded global history of branch outcomes, newest first.
 ///
-/// Backed by a power-of-two ring of 64-bit words; `bit(0)` is the most
-/// recently pushed outcome.
+/// Backed by a power-of-two ring of 64-bit words, so positions wrap with
+/// a mask rather than a division; `bit(0)` is the most recently pushed
+/// outcome.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GlobalHistory {
     words: Vec<u64>,
@@ -61,7 +62,7 @@ impl GlobalHistory {
         } else {
             self.words[word] &= !mask;
         }
-        self.head = (self.head + 1) % self.capacity;
+        self.head = (self.head + 1) & (self.capacity - 1);
         if self.len < self.capacity {
             self.len += 1;
         }
@@ -74,19 +75,27 @@ impl GlobalHistory {
         if age >= self.len {
             return false;
         }
-        let pos = (self.head + self.capacity - 1 - age) % self.capacity;
+        let pos = (self.head + self.capacity - 1 - age) & (self.capacity - 1);
         (self.words[pos / 64] >> (pos % 64)) & 1 == 1
     }
 
     /// Packs the newest `n` outcomes into an integer, bit `i` = age `i`.
+    ///
+    /// A one-word ring is read as a whole: rotating the newest outcome
+    /// into bit 63 and reversing the bits puts age `i` at bit `i`.
     ///
     /// # Panics
     ///
     /// Panics if `n > 64`.
     pub fn low_bits(&self, n: usize) -> u64 {
         assert!(n <= 64, "low_bits supports at most 64 bits");
+        let live = n.min(self.len);
+        let mask = 1u64.checked_shl(live as u32).unwrap_or(0).wrapping_sub(1);
+        if let [word] = self.words[..] {
+            return word.rotate_right(self.head as u32).reverse_bits() & mask;
+        }
         let mut out = 0u64;
-        for age in 0..n {
+        for age in 0..live {
             if self.bit(age) {
                 out |= 1 << age;
             }
@@ -308,17 +317,26 @@ impl BucketedFolds {
         self.inner.push(taken);
     }
 
-    /// Fold value for a correlation at `distance` branches: the largest
-    /// bucket window that fits inside the distance (the 8-bit bucket for
-    /// anything shorter than 8).
+    /// Index into [`FOLD_BUCKETS`] of the bucket used for a correlation
+    /// at `distance` branches: the largest window that fits inside the
+    /// distance (the 8-bit bucket for anything shorter than 8).
+    pub fn bucket_for(distance: usize) -> usize {
+        FOLD_BUCKETS
+            .iter()
+            .rposition(|&olen| olen <= distance)
+            .unwrap_or(0)
+    }
+
+    /// Fold value for a correlation at `distance` branches (see
+    /// [`BucketedFolds::bucket_for`]).
     pub fn fold_for(&self, distance: usize) -> u64 {
-        let mut chosen = 0usize;
-        for (i, &olen) in FOLD_BUCKETS.iter().enumerate() {
-            if olen <= distance {
-                chosen = i;
-            }
-        }
-        self.inner.fold(chosen)
+        self.inner.fold(Self::bucket_for(distance))
+    }
+
+    /// All bucket fold values, in [`FOLD_BUCKETS`] order, for callers
+    /// that select among them many times per query.
+    pub fn values(&self) -> [u64; FOLD_BUCKETS.len()] {
+        std::array::from_fn(|i| self.inner.fold(i))
     }
 
     /// Fold over the largest bucket (64 bits of history).
@@ -474,6 +492,34 @@ mod tests {
         h.push(true); // age 0
         assert_eq!(h.low_bits(3), 0b101);
         assert_eq!(h.low_bits(2), 0b01);
+    }
+
+    #[test]
+    fn low_bits_word_path_matches_the_bit_walk() {
+        // The bit-at-a-time packing `low_bits` replaces on one-word rings.
+        fn walk(h: &GlobalHistory, n: usize) -> u64 {
+            (0..n)
+                .filter(|&age| h.bit(age))
+                .fold(0, |out, age| out | 1 << age)
+        }
+        // One-word rings (64 slots) take the word path; 65 and 130 slots
+        // round up to multi-word rings. Every fill level from empty to
+        // twice around the one-word ring is checked.
+        for capacity in [1, 16, 64, 65, 130] {
+            let mut h = GlobalHistory::new(capacity);
+            let mut x = capacity as u64;
+            for fill in 0..=130 {
+                for n in [0, 1, 7, 16, 63, 64] {
+                    assert_eq!(
+                        h.low_bits(n),
+                        walk(&h, n),
+                        "capacity {capacity}, fill {fill}, n {n}"
+                    );
+                }
+                x = mix64(x);
+                h.push(x & 1 == 1);
+            }
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub mod snap;
 
 pub use bimodal::Bimodal;
 pub use gshare::Gshare;
-pub use loop_pred::{LoopPrediction, LoopPredictor};
+pub use loop_pred::{LoopLookup, LoopPrediction, LoopPredictor};
 pub use perceptron::Perceptron;
 pub use piecewise::{PiecewiseConfig, PiecewiseLinear};
 pub use registry::register;

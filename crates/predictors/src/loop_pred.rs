@@ -42,6 +42,29 @@ pub struct LoopPrediction {
     pub confident: bool,
 }
 
+/// Where one branch sits in the loop table: the entry that holds it, or
+/// the ways it may be allocated in. [`LoopPredictor::lookup`] computes it
+/// once so a predict and the update that follows share one way search.
+///
+/// A lookup describes the table as it was when it was taken; it is valid
+/// until the table is next updated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LoopLookup {
+    pc: u64,
+    tag: u16,
+    /// Every way's slot on a miss (the allocation candidates); on a hit
+    /// only the ways searched before it.
+    slots: [usize; WAYS],
+    hit: Option<usize>,
+}
+
+impl LoopLookup {
+    /// The branch address the lookup was taken for.
+    pub fn pc(&self) -> u64 {
+        self.pc
+    }
+}
+
 /// The 64-entry 4-way skewed-associative loop predictor.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LoopPredictor {
@@ -83,18 +106,35 @@ impl LoopPredictor {
         (mix64(pc >> 2) >> 16) as u16 & 0x3FFF
     }
 
-    fn find(&self, pc: u64) -> Option<usize> {
+    /// Searches the table for `pc`, hashing ways only up to a hit.
+    pub fn lookup(&self, pc: u64) -> LoopLookup {
         let tag = Self::tag(pc);
-        (0..WAYS)
-            .map(|w| self.slot(pc, w))
-            .find(|&i| self.entries[i].valid && self.entries[i].tag == tag)
+        let mut lookup = LoopLookup {
+            pc,
+            tag,
+            slots: [0; WAYS],
+            hit: None,
+        };
+        for w in 0..WAYS {
+            let i = self.slot(pc, w);
+            if self.entries[i].valid && self.entries[i].tag == tag {
+                lookup.hit = Some(i);
+                break;
+            }
+            lookup.slots[w] = i;
+        }
+        lookup
     }
 
     /// Predicts the branch at `pc`, if an entry exists and has learned a
     /// trip count.
     pub fn predict(&self, pc: u64) -> Option<LoopPrediction> {
-        let idx = self.find(pc)?;
-        let e = &self.entries[idx];
+        self.predict_at(&self.lookup(pc))
+    }
+
+    /// [`LoopPredictor::predict`] for an already looked-up branch.
+    pub fn predict_at(&self, lookup: &LoopLookup) -> Option<LoopPrediction> {
+        let e = &self.entries[lookup.hit?];
         if e.past_iter == 0 {
             return None;
         }
@@ -115,7 +155,13 @@ impl LoopPredictor {
     /// `true` only when the main predictor mispredicted, limiting
     /// pollution).
     pub fn update(&mut self, pc: u64, taken: bool, allocate: bool) {
-        if let Some(idx) = self.find(pc) {
+        self.update_at(&self.lookup(pc), taken, allocate);
+    }
+
+    /// [`LoopPredictor::update`] for an already looked-up branch; the
+    /// lookup must have been taken since the table was last updated.
+    pub fn update_at(&mut self, lookup: &LoopLookup, taken: bool, allocate: bool) {
+        if let Some(idx) = lookup.hit {
             let e = &mut self.entries[idx];
             e.age = e.age.saturating_add(1);
             if taken == e.dir {
@@ -148,11 +194,9 @@ impl LoopPredictor {
             return;
         }
         // Allocate in the way with the lowest (conf, age); prefer invalid.
-        let tag = Self::tag(pc);
-        let mut victim = self.slot(pc, 0);
+        let mut victim = lookup.slots[0];
         let mut victim_score = u32::MAX;
-        for w in 0..WAYS {
-            let i = self.slot(pc, w);
+        for &i in &lookup.slots {
             let e = &self.entries[i];
             if !e.valid {
                 victim = i;
@@ -165,7 +209,7 @@ impl LoopPredictor {
             }
         }
         self.entries[victim] = LoopEntry {
-            tag,
+            tag: lookup.tag,
             valid: true,
             dir: taken,
             past_iter: 0,
@@ -294,7 +338,7 @@ mod tests {
             }
         }
         // Confidence must not have saturated.
-        let idx = p.find(0x40).unwrap();
+        let idx = p.lookup(0x40).hit.unwrap();
         assert!(p.entries[idx].conf < CONF_MAX);
     }
 
@@ -302,7 +346,7 @@ mod tests {
     fn no_allocation_without_request() {
         let mut p = LoopPredictor::paper_64_entry();
         p.update(0x40, true, false);
-        assert!(p.find(0x40).is_none());
+        assert!(p.lookup(0x40).hit.is_none());
     }
 
     #[test]
@@ -326,6 +370,41 @@ mod tests {
         let (m2, c2) = run_loops(&mut p, 0x80, 9, 10);
         assert!(c1 > 0 && c2 > 0);
         assert_eq!(m1 + m2, 0);
+    }
+
+    #[test]
+    fn lookup_reuse_matches_predict_and_update() {
+        // One lookup serving a predict and its update must leave the
+        // table exactly as separate `predict`/`update` calls do, through
+        // allocations and evictions: 40 branches contend for 8 entries.
+        use bfbp_trace::rng::Xoshiro256;
+        for seed in 0..4u64 {
+            let mut rng = Xoshiro256::seed_from_u64(seed);
+            let mut plain = LoopPredictor::new(8);
+            let mut reused = LoopPredictor::new(8);
+            let trips: Vec<u32> = (0..40).map(|_| 1 + rng.below(9) as u32).collect();
+            let mut iters = [0u32; 40];
+            for step in 0..20_000 {
+                let b = rng.below(40) as usize;
+                let pc = 0x1000 + 4 * b as u64;
+                iters[b] += 1;
+                // Mostly constant trips, with some noise.
+                let taken = if rng.chance(0.05) {
+                    rng.chance(0.5)
+                } else {
+                    !iters[b].is_multiple_of(trips[b])
+                };
+                let allocate = rng.chance(0.3);
+                let want = plain.predict(pc);
+                plain.update(pc, taken, allocate);
+                let lookup = reused.lookup(pc);
+                assert_eq!(lookup.pc(), pc);
+                assert_eq!(reused.predict_at(&lookup), want, "seed {seed} step {step}");
+                reused.update_at(&lookup, taken, allocate);
+                assert_eq!(reused, plain, "seed {seed} step {step}");
+            }
+            assert!(plain.entries.iter().all(|e| e.valid));
+        }
     }
 
     #[test]

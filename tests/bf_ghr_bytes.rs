@@ -1,13 +1,15 @@
 //! Pins the exact bytes the bias-free history produces: `BfGhr`
 //! snapshots, `fold_mixed` outputs at BF-TAGE's ten compressed history
 //! lengths, and `collect()` over fixed pseudo-random commit streams,
-//! plus whole bf-tage and bf-isl-tage predictor snapshots after a fixed
-//! trace prefix.
+//! plus whole bf-tage, bf-isl-tage, bf-neural and isl-tage predictor
+//! snapshots after a fixed trace prefix.
 //!
-//! The digests were recorded before the BF-GHR moved to its fixed-array
-//! segment layout. Any change to the layout must leave them untouched:
-//! that keeps every prediction identical and every `bfbp-ckpt/1`
-//! snapshot written by an earlier build restorable.
+//! The BF-GHR digests were recorded before the BF-GHR moved to its
+//! fixed-array segment layout; the bf-neural and isl-tage digests before
+//! their weight-index and side-component lookups were hoisted and
+//! reused. Any change to either must leave them untouched: that keeps
+//! every prediction identical and every `bfbp-ckpt/1` snapshot written
+//! by an earlier build restorable.
 
 use bfbp::core::bf_ghr::BfGhr;
 use bfbp::sim::ckpt::{fnv1a, Restorable, StateWriter};
@@ -138,10 +140,13 @@ fn bf_predictor_snapshots_keep_their_bytes() {
     for (name, want) in [
         ("bf-tage", 18_444_307_907_166_261_319u64),
         ("bf-isl-tage", 15_599_213_357_338_242_216),
+        ("bf-neural", 5_549_501_247_891_614_274),
+        ("bf-neural-32kb", 4_855_055_939_106_956_332),
+        ("bf-neural:history-mode=unfiltered", 939_779_875_413_465_997),
+        ("isl-tage", 1_700_029_072_212_522_172),
     ] {
-        let mut predictor = registry
-            .build_spec(&PredictorSpec::new(name))
-            .expect("build");
+        let spec = PredictorSpec::parse(name).expect("spec");
+        let mut predictor = registry.build_spec(&spec).expect("build");
         Simulation::new(predictor.as_mut())
             .run_trace(&trace)
             .expect("run");

@@ -3,7 +3,8 @@
 //! kill-resume byte-identity of the `bfbp-sweep/2` and `bfbp-metrics/1`
 //! documents, torn/stale checkpoint quarantine, the `bfbp-journal/2`
 //! checkpoint-reference interplay, cancellation-aware retry backoff,
-//! and the consistency checks that reject corrupt BF-GHR snapshots.
+//! and the consistency checks that reject corrupt BF-GHR and recency
+//! stack snapshots.
 
 use std::fs;
 use std::path::PathBuf;
@@ -386,8 +387,8 @@ fn busy_ghr(commits: usize) -> GhrSnapshot {
     snap
 }
 
-fn assert_malformed(snap: &GhrSnapshot, rule: &str) {
-    match snap.load() {
+fn assert_malformed(loaded: Result<(), CodecError>, rule: &str) {
+    match loaded {
         Err(CodecError::Malformed(what)) => {
             assert!(
                 what.contains(rule),
@@ -404,7 +405,7 @@ fn bf_ghr_snapshot_with_a_key_wider_than_14_bits_is_rejected() {
     let s = snap.busy_segment();
     snap.segments[s].entries[0].0 |= 1 << 14;
     snap.rehash_words(s);
-    assert_malformed(&snap, "wider than 14 bits");
+    assert_malformed(snap.load(), "wider than 14 bits");
 }
 
 #[test]
@@ -413,7 +414,7 @@ fn bf_ghr_snapshot_with_a_duplicate_key_is_rejected() {
     let s = snap.busy_segment();
     snap.segments[s].entries[1].0 = snap.segments[s].entries[0].0;
     snap.rehash_words(s);
-    assert_malformed(&snap, "duplicate key");
+    assert_malformed(snap.load(), "duplicate key");
 }
 
 #[test]
@@ -424,17 +425,17 @@ fn bf_ghr_snapshot_with_a_bad_birth_is_rejected() {
     let mut snap = good.clone();
     let entries = &mut snap.segments[s].entries;
     (entries[0].2, entries[1].2) = (entries[1].2, entries[0].2);
-    assert_malformed(&snap, "birth");
+    assert_malformed(snap.load(), "birth");
     // In the future.
     let mut snap = good.clone();
     snap.segments[s].entries[0].2 = snap.now + 1;
-    assert_malformed(&snap, "birth");
+    assert_malformed(snap.load(), "birth");
     // Old enough to have left the segment.
     let mut snap = good.clone();
     let span = (SEGMENT_BOUNDARIES[s + 1] - SEGMENT_BOUNDARIES[s]) as u64;
     let bottom = snap.segments[s].entries.len() - 1;
     snap.segments[s].entries[bottom].2 = snap.now - span;
-    assert_malformed(&snap, "birth");
+    assert_malformed(snap.load(), "birth");
 }
 
 #[test]
@@ -443,7 +444,7 @@ fn bf_ghr_snapshot_with_a_word_that_does_not_match_its_entry_is_rejected() {
     let s = snap.busy_segment();
     snap.segments[s].words[0] ^= 1;
     snap.rehash_pxor(s);
-    assert_malformed(&snap, "word does not match");
+    assert_malformed(snap.load(), "word does not match");
 }
 
 #[test]
@@ -451,14 +452,14 @@ fn bf_ghr_snapshot_with_wrong_prefix_xors_is_rejected() {
     let mut snap = busy_ghr(5_000);
     let s = snap.busy_segment();
     snap.segments[s].pxor[1] ^= 1;
-    assert_malformed(&snap, "prefix XORs");
+    assert_malformed(snap.load(), "prefix XORs");
 }
 
 #[test]
 fn bf_ghr_snapshot_with_an_impossible_clock_is_rejected() {
     let mut snap = busy_ghr(5_000);
     snap.now = u64::MAX;
-    assert_malformed(&snap, "clock out of range");
+    assert_malformed(snap.load(), "clock out of range");
 }
 
 #[test]
@@ -466,11 +467,151 @@ fn bf_ghr_snapshot_with_a_bad_ring_slot_is_rejected() {
     // A slot carrying bits outside key, direction and bias status.
     let mut snap = busy_ghr(5_000);
     snap.ring[7] |= 1 << 20;
-    assert_malformed(&snap, "wider than its fields");
+    assert_malformed(snap.load(), "wider than its fields");
     // A slot the clock has not reached yet.
     let mut snap = busy_ghr(100);
     snap.ring[200] = 1 << 17;
-    assert_malformed(&snap, "ahead of the clock");
+    assert_malformed(snap.load(), "ahead of the clock");
+}
+
+/// A `bf-neural` snapshot split around its recency stack, so a test can
+/// break one of the stack's rules and re-encode the rest unchanged.
+#[derive(Clone)]
+struct NeuralSnapshot {
+    /// Everything before the stack: BST, weights, recent history, folds
+    /// and the deep-history mode tag.
+    head: Vec<u8>,
+    /// `(key, outcome, birth)`, newest first.
+    stack: Vec<(u64, bool, u64)>,
+    /// Everything after: the clock (first), threshold and loop table.
+    tail: Vec<u8>,
+}
+
+impl NeuralSnapshot {
+    fn of(predictor: &mut dyn bfbp::sim::predictor::ConditionalPredictor) -> Self {
+        let mut w = StateWriter::new();
+        predictor.checkpointing().unwrap().save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = StateReader::new(&bytes);
+        r.u8().unwrap(); // classifier variant
+        r.bytes().unwrap(); // BST entries
+        r.u64().unwrap(); // BST commits
+        r.u64().unwrap(); // BST known commits
+        for _ in 0..3 {
+            r.i8_vec().unwrap(); // Wb, Wm, Wrs
+        }
+        r.u64_vec().unwrap(); // recent outcomes
+        r.usize().unwrap();
+        r.usize().unwrap();
+        r.u64_vec().unwrap(); // recent addresses
+        r.usize().unwrap();
+        r.u64_vec().unwrap(); // fold history
+        r.usize().unwrap();
+        r.usize().unwrap();
+        let folds = r.usize().unwrap();
+        for _ in 0..folds {
+            r.u64().unwrap();
+        }
+        assert_eq!(r.u8().unwrap(), 1, "recency-stack mode");
+        let head = bytes[..bytes.len() - r.remaining()].to_vec();
+        let stack = (0..r.usize().unwrap())
+            .map(|_| (r.u64().unwrap(), r.bool().unwrap(), r.u64().unwrap()))
+            .collect();
+        let tail = bytes[bytes.len() - r.remaining()..].to_vec();
+        Self { head, stack, tail }
+    }
+
+    fn now(&self) -> u64 {
+        u64::from_le_bytes(self.tail[..8].try_into().unwrap())
+    }
+
+    /// Restores the snapshot into a freshly built `bf-neural`.
+    fn load(&self) -> Result<(), CodecError> {
+        let mut w = StateWriter::new();
+        w.usize(self.stack.len());
+        for &(key, outcome, birth) in &self.stack {
+            w.u64(key);
+            w.bool(outcome);
+            w.u64(birth);
+        }
+        let bytes = [self.head.as_slice(), &w.into_bytes(), &self.tail].concat();
+        let mut predictor = bfbp::default_registry()
+            .build_spec(&PredictorSpec::new("bf-neural"))
+            .unwrap();
+        let mut r = StateReader::new(&bytes);
+        predictor.checkpointing().unwrap().load_state(&mut r)?;
+        r.finish()
+    }
+}
+
+/// A `bf-neural` after a prefix of INT1 long enough to fill its stack.
+fn busy_neural() -> NeuralSnapshot {
+    let mut predictor = bfbp::default_registry()
+        .build_spec(&PredictorSpec::new("bf-neural"))
+        .unwrap();
+    Simulation::new(predictor.as_mut())
+        .run_trace(&int1(20_000))
+        .unwrap();
+    let snap = NeuralSnapshot::of(predictor.as_mut());
+    assert!(snap.stack.len() >= 2, "a stack with two entries");
+    snap.load().expect("an intact snapshot restores");
+    snap
+}
+
+#[test]
+fn recency_stack_snapshot_with_a_duplicate_key_is_rejected() {
+    let mut snap = busy_neural();
+    snap.stack[1].0 = snap.stack[0].0;
+    assert_malformed(snap.load(), "duplicate key");
+}
+
+#[test]
+fn recency_stack_snapshot_with_a_key_wider_than_14_bits_is_rejected() {
+    let mut snap = busy_neural();
+    snap.stack[0].0 |= 1 << 14;
+    assert_malformed(snap.load(), "wider than 14 bits");
+}
+
+#[test]
+fn recency_stack_snapshot_with_births_out_of_order_is_rejected() {
+    let good = busy_neural();
+    // The two newest entries swap births.
+    let mut snap = good.clone();
+    (snap.stack[0].2, snap.stack[1].2) = (snap.stack[1].2, snap.stack[0].2);
+    assert_malformed(snap.load(), "not strictly decreasing");
+    // Two entries born at the same commit.
+    let mut snap = good.clone();
+    snap.stack[1].2 = snap.stack[0].2;
+    assert_malformed(snap.load(), "not strictly decreasing");
+}
+
+#[test]
+fn recency_stack_snapshot_with_a_birth_at_or_after_the_clock_is_rejected() {
+    let good = busy_neural();
+    for birth in [good.now(), good.now() + 5] {
+        let mut snap = good.clone();
+        snap.stack[0].2 = birth;
+        assert_malformed(snap.load(), "at or after the clock");
+    }
+    // The idealized predictor restores its stack and clock the same way.
+    let mut ideal = bfbp::default_registry()
+        .build_spec(&PredictorSpec::parse("bf-neural-ideal:log-rows=10").unwrap())
+        .unwrap();
+    Simulation::new(ideal.as_mut())
+        .run_trace(&int1(5_000))
+        .unwrap();
+    let mut w = StateWriter::new();
+    ideal.checkpointing().unwrap().save_state(&mut w);
+    let mut bytes = w.into_bytes();
+    // The clock is the last field; wind it back to zero, before every
+    // recorded birth.
+    let at = bytes.len() - 8;
+    bytes[at..].copy_from_slice(&0u64.to_le_bytes());
+    let mut r = StateReader::new(&bytes);
+    assert_malformed(
+        ideal.checkpointing().unwrap().load_state(&mut r),
+        "at or after the clock",
+    );
 }
 
 /// A checkpoint recorded for one sweep matrix must never restore into
